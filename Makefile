@@ -14,9 +14,11 @@ test-fast:
 bench:
 	$(PYTHON) -m repro bench
 
-## Fast (~30s) subset; fails on >2x regression vs benchmarks/BENCH_baseline.json
+## Fast (~30s) subset; fails on >2x regression vs benchmarks/BENCH_baseline.json.
+## One worker process, as the baseline was recorded: wall times from
+## experiments sharing a few cores measure contention, not code.
 bench-smoke:
-	$(PYTHON) -m repro bench --smoke
+	$(PYTHON) -m repro bench --smoke --workers 1
 
 ## Statistical guarantee audit (full trials) -> audit/AUDIT_report.json
 audit:

@@ -265,9 +265,21 @@ def compare_results(
     ``threshold``× (ignoring sub-``min_wall_s`` experiments, which are
     all scheduling noise), and cache-relevant experiments whose warm run
     stopped hitting the synopsis cache.
+
+    Wall times are compared only between runs with the same number of
+    worker processes: experiments running side by side on a few cores
+    measure contention, not code. Across worker counts the wall-time
+    verdicts become one ``note:`` entry; the other checks still apply.
     """
     old_by_name = {e["name"]: e for e in old.get("experiments", [])}
     problems: List[str] = []
+    same_workers = new.get("workers") == old.get("workers")
+    if not same_workers:
+        problems.append(
+            f"note: results ran with {new.get('workers')} workers, the "
+            f"baseline with {old.get('workers')}; wall times not compared "
+            f"(rerun with --workers {old.get('workers')})"
+        )
     for exp in new.get("experiments", []):
         name = exp["name"]
         if exp.get("status") != "ok":
@@ -278,7 +290,7 @@ def compare_results(
             continue
         old_wall = float(prev.get("cold_wall_s", 0.0))
         new_wall = float(exp.get("cold_wall_s", 0.0))
-        if old_wall >= min_wall_s and new_wall > threshold * old_wall:
+        if same_workers and old_wall >= min_wall_s and new_wall > threshold * old_wall:
             problems.append(
                 f"{name}: cold wall time {new_wall:.2f}s > "
                 f"{threshold:g}x baseline {old_wall:.2f}s"

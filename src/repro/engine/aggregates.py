@@ -10,13 +10,13 @@ paper's "no silver bullet" arguments (experiments E5, E14).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.exceptions import PlanError
 from .expressions import Expression, Literal
-from .table import Table
+from .table import DictEncoding, Table
 
 #: Aggregates for which sampling yields unbiased, CLT-analyzable estimates.
 LINEAR_AGGREGATES = frozenset({"sum", "count", "avg"})
@@ -71,119 +71,178 @@ class AggregateSpec:
 
 
 # ----------------------------------------------------------------------
-# Group encoding
+# Factorization and group encoding
 # ----------------------------------------------------------------------
 
-#: Integer-like dtype kinds eligible for the packed-int64 fast path.
+#: Integer-like dtype kinds eligible for the offset-and-bincount path.
 _INT_KINDS = frozenset("iub")
 
-#: Packed codes must stay comfortably inside int64; leave headroom so the
-#: per-column span products can be checked with exact Python ints.
+#: Combined group codes stay comfortably inside int64.
 _PACK_LIMIT = 2 ** 62
 
+#: A factorize input: a value array, or a string column's codes under a
+#: sorted dictionary that covers it.
+Key = Union[np.ndarray, DictEncoding]
 
-def _integer_pack(key_arrays: Sequence[np.ndarray]) -> Optional[Tuple[np.ndarray, List[int], List[int]]]:
-    """Try to pack integer key columns into one int64 code per row.
 
-    Returns ``(packed, mins, spans)`` or ``None`` when any column is
-    non-integer or the combined span would overflow int64. Packing uses
-    ``(arr - min) * multiplier`` with the rightmost column varying
-    fastest, so the packed codes sort in the same lexicographic order as
-    the raw values — group ids come out identical to the generic
-    rank-based encoding.
+def _int_offsets(values: np.ndarray) -> Optional[Tuple[np.ndarray, int, int]]:
+    """``(values - lo, lo, span)`` for integer keys whose span is at most
+    the row count, else ``None``; a bincount over the span then costs no
+    more than the rows themselves."""
+    if values.dtype.kind not in _INT_KINDS or len(values) == 0:
+        return None
+    lo, hi = int(values.min()), int(values.max())
+    if hi - lo >= len(values):
+        return None
+    if values.dtype.kind == "u":
+        offsets = (values - values.dtype.type(lo)).astype(np.intp)
+    else:
+        offsets = np.subtract(values, lo, dtype=np.intp)
+    return offsets, lo, hi - lo + 1
+
+
+def _int_uniques(used: np.ndarray, lo: int, dtype: np.dtype) -> np.ndarray:
+    positions = np.flatnonzero(used)
+    if dtype.kind == "u":
+        return positions.astype(dtype) + dtype.type(lo)
+    return (positions + lo).astype(dtype)
+
+
+def factorize(key: Key) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)``, bitwise, without the sort.
+
+    Returns ``(uniques, inverse)``: the sorted distinct values and each
+    row's position among them (``intp``). Three paths:
+
+    * a :class:`DictEncoding` compacts the dictionary entries its codes
+      use (``bincount > 0``);
+    * integer/bool keys whose span is at most the row count use an
+      offset plus ``bincount``;
+    * otherwise strings are factorized through a hash table and sorted
+      distinct values, and everything else (floats, mixed objects) goes
+      to ``np.unique`` itself — so NaN handling and the exceptions
+      unorderable values raise are exactly ``np.unique``'s.
     """
-    mins: List[int] = []
-    spans: List[int] = []
-    casted: List[np.ndarray] = []
-    for arr in key_arrays:
-        if arr.dtype.kind not in _INT_KINDS:
-            return None
-        lo = int(arr.min())
-        hi = int(arr.max())
-        if hi - lo + 1 > _PACK_LIMIT:
-            return None
-        mins.append(lo)
-        spans.append(hi - lo + 1)
-        casted.append(arr)
-    capacity = 1
-    for span in spans:
-        capacity *= span
-        if capacity > _PACK_LIMIT:
-            return None
-    packed = np.zeros(len(key_arrays[0]), dtype=np.int64)
-    multiplier = 1
-    for arr, lo, span in zip(reversed(casted), reversed(mins), reversed(spans)):
-        packed += (arr.astype(np.int64) - lo) * multiplier
-        multiplier *= span
-    return packed, mins, spans
+    if isinstance(key, DictEncoding):
+        codes, dictionary = key
+        used = np.bincount(codes, minlength=len(dictionary)) > 0
+        if used.all():
+            return dictionary.copy(), codes.astype(np.intp)
+        return dictionary[used], (np.cumsum(used) - 1)[codes]
+    values = np.asarray(key)
+    packed = _int_offsets(values)
+    if packed is not None:
+        offsets, lo, span = packed
+        used = np.bincount(offsets, minlength=span) > 0
+        uniques = _int_uniques(used, lo, values.dtype)
+        if used.all():
+            return uniques, offsets
+        return uniques, (np.cumsum(used) - 1)[offsets]
+    if values.dtype == object and len(values):
+        items = values.tolist()
+        distinct = dict.fromkeys(items)
+        if all(type(v) is str for v in distinct):
+            ordered = sorted(distinct)
+            rank = dict(zip(ordered, range(len(ordered))))
+            inverse = np.fromiter(
+                map(rank.__getitem__, items), dtype=np.intp, count=len(items)
+            )
+            return np.array(ordered, dtype=object), inverse
+    return np.unique(values, return_inverse=True)
+
+
+def value_counts(key: Key) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_counts=True)``, bitwise — by bincount
+    over codes or small-span integers, by ``np.unique`` otherwise."""
+    if isinstance(key, DictEncoding):
+        codes, dictionary = key
+        counts = np.bincount(codes, minlength=len(dictionary))
+        used = counts > 0
+        return dictionary[used], counts[used]
+    values = np.asarray(key)
+    packed = _int_offsets(values)
+    if packed is None:
+        return np.unique(values, return_counts=True)
+    offsets, lo, span = packed
+    counts = np.bincount(offsets, minlength=span)
+    used = counts > 0
+    return _int_uniques(used, lo, values.dtype), counts[used]
+
+
+def column_key(table, name: str) -> Key:
+    """A column as a :func:`factorize` key: its dictionary codes when it
+    has them, else its values. ``table`` is a Table or a fused relation."""
+    enc = table.codes_of(name)
+    return enc if enc is not None else table[name]
+
+
+def take_key(key: Key, selector) -> Key:
+    """The rows ``selector`` picks out of a factorize key."""
+    if isinstance(key, DictEncoding):
+        return DictEncoding(key.codes[selector], key.dictionary)
+    return key[selector]
+
+
+def key_length(key: Key) -> int:
+    return len(key.codes) if isinstance(key, DictEncoding) else len(key)
+
+
+def _key_dtype(key: Key) -> np.dtype:
+    return key.dictionary.dtype if isinstance(key, DictEncoding) else key.dtype
 
 
 def encode_groups_arrays(
-    key_arrays: Sequence[np.ndarray],
+    key_arrays: Sequence[Key],
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
     """Map composite keys to dense group ids, columnar key output.
 
     Returns ``(group_ids, key_columns)`` where ``key_columns[pos][g]`` is
-    the value of key column ``pos`` for group ``g``. This is the kernel
+    the value of key column ``pos`` for group ``g``. Each key is a value
+    array or a string column's :class:`DictEncoding`. This is the kernel
     behind :func:`encode_groups`; the fused executor uses it directly so
     grouped aggregation never builds per-row (or even per-group) Python
     tuples.
 
-    Fast paths:
-
-    * a single key column of any dtype goes straight through
-      ``np.unique(..., return_inverse=True)``;
-    * composite keys whose columns are all integer/bool dtypes are packed
-      into one int64 code per row (span-based, order-preserving) so a
-      single ``np.unique`` call replaces per-column factorization.
-
-    Both fast paths produce group ids and key values identical to the
-    generic rank-based encoding (the property test in
-    ``tests/test_fused_executor.py`` fuzzes this equivalence).
+    Every key is factorized (:func:`factorize`), the per-key codes are
+    combined into one integer per row with the rightmost key varying
+    fastest, and the combined codes are factorized once more. Groups
+    therefore come out in lexicographic order of the key values, the
+    order ``np.unique`` gives a single key.
     """
     if not key_arrays:
         raise PlanError("encode_groups requires at least one key array")
-    key_arrays = [np.asarray(arr) for arr in key_arrays]
-    n = len(key_arrays[0])
+    keys = [k if isinstance(k, DictEncoding) else np.asarray(k) for k in key_arrays]
+    n = key_length(keys[0])
     if n == 0:
         return np.array([], dtype=np.int64), [
-            np.array([], dtype=arr.dtype) for arr in key_arrays
+            np.array([], dtype=_key_dtype(k)) for k in keys
         ]
-    if len(key_arrays) == 1:
-        uniques, inverse = np.unique(key_arrays[0], return_inverse=True)
-        return inverse.astype(np.int64), [uniques]
-    packed = _integer_pack(key_arrays)
-    if packed is not None:
-        codes, mins, spans = packed
-        uniq_codes, inverse = np.unique(codes, return_inverse=True)
-        key_columns: List[np.ndarray] = [None] * len(key_arrays)  # type: ignore[list-item]
-        rem = uniq_codes
-        for pos in range(len(key_arrays) - 1, -1, -1):
-            rem, offs = np.divmod(rem, spans[pos])
-            key_columns[pos] = (offs + mins[pos]).astype(key_arrays[pos].dtype)
-        return inverse.astype(np.int64), key_columns
-    # Generic path: factorize each key column, then combine the rank codes.
-    codes_list = []
-    levels = []
-    for arr in key_arrays:
-        uniq, inv = np.unique(arr, return_inverse=True)
-        codes_list.append(inv.astype(np.int64))
-        levels.append(uniq)
-    combined = np.zeros(n, dtype=np.int64)
-    multiplier = 1
-    for code, uniq in zip(reversed(codes_list), reversed(levels)):
-        combined += code * multiplier
-        multiplier *= len(uniq)
-    uniq_combined, inverse = np.unique(combined, return_inverse=True)
-    key_columns = [None] * len(key_arrays)  # type: ignore[list-item]
-    rem = uniq_combined
-    for pos in range(len(key_arrays) - 1, -1, -1):
-        rem, idx = np.divmod(rem, len(levels[pos]))
-        key_columns[pos] = levels[pos][idx]
-    return inverse.astype(np.int64), key_columns
+    if len(keys) == 1:
+        uniques, inverse = factorize(keys[0])
+        return inverse.astype(np.int64, copy=False), [uniques]
+    levels: List[np.ndarray] = []
+    codes: List[np.ndarray] = []
+    combined = np.zeros(n, dtype=np.intp)
+    size = 1
+    for key in keys:
+        level, code = factorize(key)
+        if size * len(level) > _PACK_LIMIT:
+            uniq, combined = factorize(combined)
+            size = len(uniq)
+        combined = combined * len(level) + code
+        size *= len(level)
+        levels.append(level)
+        codes.append(code)
+    uniq, inverse = factorize(combined)
+    # One representative row per group decodes every key column.
+    rows = np.empty(len(uniq), dtype=np.intp)
+    rows[inverse] = np.arange(n)
+    return inverse.astype(np.int64, copy=False), [
+        level[code[rows]] for level, code in zip(levels, codes)
+    ]
 
 
-def encode_groups(key_arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[Tuple]]:
+def encode_groups(key_arrays: Sequence[Key]) -> Tuple[np.ndarray, List[Tuple]]:
     """Map composite keys to dense group ids.
 
     Returns ``(group_ids, key_tuples)`` where ``group_ids[i]`` indexes into
@@ -252,7 +311,7 @@ def grouped_count_distinct(
     if len(values) == 0:
         return np.zeros(num_groups, dtype=np.float64)
     # Factorize values to integer codes so lexsort works for any dtype.
-    _, value_codes = np.unique(values, return_inverse=True)
+    _, value_codes = factorize(values)
     order = np.lexsort((value_codes, group_ids))
     g = group_ids[order]
     v = value_codes[order]

@@ -54,9 +54,7 @@ class Database:
             if name in self._tables:
                 raise SchemaError(f"table {name!r} already exists")
             if isinstance(data, Table):
-                table = Table(
-                    data.columns_dict(), name=name, block_size=data.block_size
-                )
+                table = data.with_name(name)
             else:
                 table = Table(data, name=name, block_size=block_size)
             self._tables[name] = table
@@ -73,9 +71,7 @@ class Database:
         with self._catalog_lock:
             if name not in self._tables:
                 raise SchemaError(f"no table {name!r}")
-            self._tables[name] = Table(
-                table.columns_dict(), name=name, block_size=table.block_size
-            )
+            self._tables[name] = table.with_name(name)
             self._stats.pop(name, None)
         self._invalidate_synopses(name)
 
@@ -93,7 +89,11 @@ class Database:
         get_global_cache().invalidate_table(name)
 
     def append_rows(self, name: str, data: Mapping[str, Iterable]) -> None:
-        """Append rows to a table (invalidates cached stats)."""
+        """Append rows to a table (invalidates cached stats).
+
+        String columns the table already holds codes for keep them: only
+        the appended rows are encoded (see :meth:`Table.concat`).
+        """
         with self._catalog_lock:
             base = self.table(name)
             extra = Table(data, name=name, block_size=base.block_size)
@@ -120,14 +120,18 @@ class Database:
         Computation happens outside the catalog lock (it can be a full
         pass over the table); racing computations of the same table's
         stats produce identical values, and ``setdefault`` keeps exactly
-        one.
+        one. Stats of a table replaced meanwhile are returned but not
+        cached, so they can never outlive the content they describe.
         """
         with self._catalog_lock:
             cached = self._stats.get(name)
+            table = self.table(name)
         if cached is not None:
             return cached
-        computed = compute_table_stats(self.table(name))
+        computed = compute_table_stats(table)
         with self._catalog_lock:
+            if self._tables.get(name) is not table:
+                return computed
             return self._stats.setdefault(name, computed)
 
     def invalidate_stats(self, name: Optional[str] = None) -> None:

@@ -29,9 +29,13 @@ from .aggregates import (
     AggregateSpec,
     compute_aggregate,
     compute_grouped_aggregate,
-    encode_groups,
+    column_key,
+    encode_groups_arrays,
+    factorize,
+    key_length,
+    take_key,
 )
-from .expressions import Expression
+from .expressions import Column, Expression
 from .fused import (
     FusedChain,
     apply_steps,
@@ -56,7 +60,7 @@ from .plan import (
     Scan,
     UnionAll,
 )
-from .table import Table
+from .table import DictEncoding, Table
 
 
 @dataclass
@@ -192,7 +196,14 @@ class Executor:
         if isinstance(node, Project):
             child = self._run(node.child, stats)
             cols = {alias: _materialize(expr, child) for expr, alias in node.items}
-            return Table(cols, name=child.name, block_size=child.block_size)
+            held = child.held_codes()
+            return Table(cols, name=child.name, block_size=child.block_size).attach_codes(
+                {
+                    alias: held[expr.name]
+                    for expr, alias in node.items
+                    if isinstance(expr, Column) and expr.name in held
+                }
+            )
         if isinstance(node, HashJoin):
             return self._run_join(node, stats)
         if isinstance(node, GroupByAggregate):
@@ -211,13 +222,18 @@ class Executor:
     # ------------------------------------------------------------------
     def _run_scan(self, node: Scan, stats: ExecutionStats) -> Table:
         table = self.database.table(node.table_name)
+        columns = table.column_names if node.columns is None else list(node.columns)
+        missing = [c for c in columns if c not in table]
+        if missing:
+            raise SchemaError(
+                f"columns {missing} not in table {node.table_name!r}"
+            )
+        for name in columns:
+            # String columns are encoded once, on the catalog table; the
+            # scan output inherits the codes.
+            table.codes_of(name)
         if node.columns is not None:
-            missing = [c for c in node.columns if c not in table]
-            if missing:
-                raise SchemaError(
-                    f"columns {missing} not in table {node.table_name!r}"
-                )
-            table = table.select(list(node.columns))
+            table = table.select(columns)
         total_blocks = table.num_blocks
         from ..obs.trace import span
         from ..resilience.faults import maybe_fault
@@ -356,31 +372,35 @@ class Executor:
         right = self._run(node.right, stats)
         stats.join_input_rows += left.num_rows + right.num_rows
         left_idx, right_idx, unmatched_left = join_indices(
-            [left[k] for k in node.left_keys],
-            [right[k] for k in node.right_keys],
+            [column_key(left, k) for k in node.left_keys],
+            [column_key(right, k) for k in node.right_keys],
         )
-        out: Dict[str, np.ndarray] = {}
         if node.how == "inner":
-            for name in left.column_names:
-                out[name] = left[name][left_idx]
-            for name in right.column_names:
-                out_name = name if name not in out else f"{name}__r"
-                out[out_name] = right[name][right_idx]
+            left_rows, pad = left_idx, 0
         else:  # left join: append unmatched left rows padded with nulls
-            all_left = np.concatenate([left_idx, unmatched_left])
-            for name in left.column_names:
-                out[name] = left[name][all_left]
+            left_rows = np.concatenate([left_idx, unmatched_left])
             pad = len(unmatched_left)
-            for name in right.column_names:
-                matched = right[name][right_idx]
+        out = {name: left[name][left_rows] for name in left.column_names}
+        codes = {
+            name: take_key(enc, left_rows)
+            for name, enc in left.held_codes().items()
+        }
+        right_held = right.held_codes()
+        for name in right.column_names:
+            out_name = name if name not in out else f"{name}__r"
+            matched = right[name][right_idx]
+            if node.how != "inner":
                 if matched.dtype == object:
                     filler = np.empty(pad, dtype=object)
                 else:
                     matched = matched.astype(np.float64)
                     filler = np.full(pad, np.nan)
-                out_name = name if name not in out else f"{name}__r"
-                out[out_name] = np.concatenate([matched, filler]) if pad else matched
-        return Table(out, name=f"join", block_size=left.block_size)
+                if pad:
+                    matched = np.concatenate([matched, filler])
+            out[out_name] = matched
+            if name in right_held and not pad:
+                codes[out_name] = take_key(right_held[name], right_idx)
+        return Table(out, name=f"join", block_size=left.block_size).attach_codes(codes)
 
     # ------------------------------------------------------------------
     def _run_aggregate(self, node: GroupByAggregate, stats: ExecutionStats) -> Table:
@@ -393,21 +413,20 @@ class Executor:
             }
             result = Table(cols, name="aggregate")
         else:
-            key_arrays = [_materialize(expr, child) for expr, _ in node.keys]
             if child.num_rows == 0:
                 cols = {alias: np.array([]) for _, alias in node.keys}
                 for spec in node.aggregates:
                     cols[spec.alias] = np.array([])
                 result = Table(cols, name="aggregate")
             else:
-                group_ids, key_tuples = encode_groups(key_arrays)
-                num_groups = len(key_tuples)
-                cols = {}
-                for pos, (_, alias) in enumerate(node.keys):
-                    cols[alias] = np.array(
-                        [kt[pos] for kt in key_tuples],
-                        dtype=key_arrays[pos].dtype if key_arrays[pos].dtype != object else object,
-                    )
+                group_ids, key_columns = encode_groups_arrays(
+                    [_group_key(expr, child) for expr, _ in node.keys]
+                )
+                num_groups = len(key_columns[0])
+                cols = {
+                    alias: key_column
+                    for (_, alias), key_column in zip(node.keys, key_columns)
+                }
                 for spec in node.aggregates:
                     cols[spec.alias] = compute_grouped_aggregate(
                         spec, child, group_ids, num_groups
@@ -431,6 +450,13 @@ def _materialize(expr: Expression, table: Table) -> np.ndarray:
     return arr
 
 
+def _group_key(expr: Expression, table: Table):
+    """A group key's codes when it is a bare string column, else its values."""
+    if isinstance(expr, Column) and expr.name in table:
+        return column_key(table, expr.name)
+    return _materialize(expr, table)
+
+
 def _order_by(table: Table, items: Sequence[Tuple[str, bool]]) -> Table:
     if table.num_rows == 0 or not items:
         return table
@@ -439,8 +465,7 @@ def _order_by(table: Table, items: Sequence[Tuple[str, bool]]) -> Table:
     for name, ascending in reversed(items):
         arr = table[name]
         if arr.dtype == object:
-            _, codes = np.unique(arr, return_inverse=True)
-            arr = codes
+            _, arr = factorize(column_key(table, name))
         keys.append(arr if ascending else _descending_key(arr))
     order = np.lexsort(tuple(keys))
     return table.take(order)
@@ -461,17 +486,23 @@ def join_indices(
     ``(left_idx[i], right_idx[i])`` form the inner join, and
     ``unmatched_left`` lists left rows with no partner (for LEFT joins).
     """
-    nl = len(left_keys[0])
-    nr = len(right_keys[0])
+    nl = key_length(left_keys[0])
+    nr = key_length(right_keys[0])
     if nl == 0 or nr == 0:
         empty = np.array([], dtype=np.int64)
         return empty, empty, np.arange(nl, dtype=np.int64)
     left_codes, right_codes = _joint_codes(left_keys, right_keys)
-    order = np.argsort(right_codes, kind="stable")
-    sorted_codes = right_codes[order]
-    lo = np.searchsorted(sorted_codes, left_codes, side="left")
-    hi = np.searchsorted(sorted_codes, left_codes, side="right")
-    counts = hi - lo
+    size = int(max(left_codes.max(), right_codes.max())) + 1
+    if size > nl + nr:  # sparse composite codes: make them dense
+        _, dense = factorize(np.concatenate([left_codes, right_codes]))
+        left_codes, right_codes = dense[:nl], dense[nl:]
+        size = int(dense.max()) + 1
+    # Right rows grouped by code, in row order within a code: a stable
+    # sort, done as a plain sort of keys made unique by the row number.
+    order = np.argsort(right_codes * nr + np.arange(nr))
+    right_counts = np.bincount(right_codes, minlength=size)
+    counts = right_counts[left_codes]
+    lo = (np.cumsum(right_counts) - right_counts)[left_codes]
     left_idx = np.repeat(np.arange(nl, dtype=np.int64), counts)
     total = int(counts.sum())
     if total == 0:
@@ -485,21 +516,40 @@ def join_indices(
 
 
 def _joint_codes(
-    left_keys: Sequence[np.ndarray], right_keys: Sequence[np.ndarray]
+    left_keys: Sequence, right_keys: Sequence
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Factorize composite keys over the union of both sides."""
-    nl = len(left_keys[0])
+    """Factorize composite keys over the union of both sides.
+
+    A key is a value array or, for a string column, its
+    :class:`DictEncoding`; two encoded sides are joined on codes mapped
+    into the union of their dictionaries, never on the strings.
+    """
+    nl = key_length(left_keys[0])
     combined_code_l = np.zeros(nl, dtype=np.int64)
-    combined_code_r = np.zeros(len(right_keys[0]), dtype=np.int64)
+    combined_code_r = np.zeros(key_length(right_keys[0]), dtype=np.int64)
     multiplier = 1
     for lk, rk in zip(reversed(list(left_keys)), reversed(list(right_keys))):
-        both = np.concatenate([
-            lk.astype(object) if lk.dtype == object or rk.dtype == object else lk,
-            rk.astype(object) if lk.dtype == object or rk.dtype == object else rk,
-        ])
-        _, codes = np.unique(both, return_inverse=True)
-        ndv = int(codes.max()) + 1 if len(codes) else 1
-        combined_code_l += codes[:nl] * multiplier
-        combined_code_r += codes[nl:] * multiplier
-        multiplier *= ndv
+        if isinstance(lk, DictEncoding) and isinstance(rk, DictEncoding):
+            uniques, lookup = factorize(
+                np.concatenate([lk.dictionary, rk.dictionary])
+            )
+            split = len(lk.dictionary)
+            code_l = lookup[:split][lk.codes]
+            code_r = lookup[split:][rk.codes]
+        else:
+            lk, rk = _decoded(lk), _decoded(rk)
+            if lk.dtype == object or rk.dtype == object:
+                lk, rk = lk.astype(object), rk.astype(object)
+            uniques, codes = factorize(np.concatenate([lk, rk]))
+            code_l, code_r = codes[:nl], codes[nl:]
+        combined_code_l += code_l * multiplier
+        combined_code_r += code_r * multiplier
+        multiplier *= max(len(uniques), 1)
     return combined_code_l, combined_code_r
+
+
+def _decoded(key) -> np.ndarray:
+    if isinstance(key, DictEncoding):
+        return key.dictionary[key.codes]
+    return np.asarray(key)
+

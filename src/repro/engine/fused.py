@@ -42,10 +42,11 @@ from .aggregates import (
     compute_aggregate_values,
     compute_grouped_aggregate_values,
     encode_groups_arrays,
+    take_key,
 )
-from .expressions import compile_expression
+from .expressions import Column, compile_expression
 from .plan import Filter, GroupByAggregate, PlanNode, Project, Scan
-from .table import Table
+from .table import DictEncoding, Table
 
 __all__ = [
     "FusedChain",
@@ -72,18 +73,31 @@ class LazyRelation:
     """A named set of lazily computed, memoized columns.
 
     Duck-type compatible with :class:`Table` for everything expressions
-    need (``rel[name]`` and ``rel.num_rows``); nothing is computed until
-    a column is read, and each column is computed at most once.
+    need (``rel[name]`` and ``rel.num_rows``) and for ``codes_of``;
+    nothing is computed until a column is read, and each column is
+    computed at most once. ``encoders`` hands out the dictionary codes
+    of the string columns that have them, under the same laziness.
     """
 
-    __slots__ = ("_getters", "_cache", "num_rows")
+    __slots__ = ("_getters", "_cache", "num_rows", "_encoders", "_codes")
 
     def __init__(
-        self, getters: Dict[str, Callable[[], np.ndarray]], num_rows: int
+        self,
+        getters: Dict[str, Callable[[], np.ndarray]],
+        num_rows: int,
+        encoders: Optional[Dict[str, Callable[[], Optional[DictEncoding]]]] = None,
     ) -> None:
         self._getters = getters
         self._cache: Dict[str, np.ndarray] = {}
         self.num_rows = num_rows
+        self._encoders = encoders or {}
+        self._codes: Dict[str, Optional[DictEncoding]] = {}
+
+    def codes_of(self, name: str) -> Optional[DictEncoding]:
+        if name not in self._codes:
+            encoder = self._encoders.get(name)
+            self._codes[name] = encoder() if encoder is not None else None
+        return self._codes[name]
 
     @property
     def column_names(self) -> List[str]:
@@ -113,13 +127,19 @@ class MaskedRelation:
     a downstream aggregate touching 3 of 24 columns gathers exactly 3.
     """
 
-    __slots__ = ("_parent", "_mask", "_cache", "num_rows")
+    __slots__ = ("_parent", "_mask", "_cache", "num_rows", "_codes")
 
     def __init__(self, parent, mask: np.ndarray) -> None:
         self._parent = parent
         self._mask = mask
         self._cache: Dict[str, np.ndarray] = {}
         self.num_rows = int(np.count_nonzero(mask))
+        self._codes: Dict[str, Optional[DictEncoding]] = {}
+
+    def codes_of(self, name: str) -> Optional[DictEncoding]:
+        if name not in self._codes:
+            self._codes[name] = _gather(self._parent.codes_of(name), self._mask)
+        return self._codes[name]
 
     @property
     def column_names(self) -> List[str]:
@@ -175,17 +195,28 @@ class SliceRelation:
             return name in self._rename
         return name in self._table
 
+    def _source(self, name: str) -> str:
+        if self._rename is None:
+            return name
+        try:
+            return self._rename[name]
+        except KeyError:
+            raise SchemaError(
+                f"no column {name!r} in shard view "
+                f"(have {self.column_names})"
+            ) from None
+
     def __getitem__(self, name: str) -> np.ndarray:
-        source = name
-        if self._rename is not None:
-            try:
-                source = self._rename[name]
-            except KeyError:
-                raise SchemaError(
-                    f"no column {name!r} in shard view "
-                    f"(have {self.column_names})"
-                ) from None
-        return self._table[source][self._start : self._stop]
+        return self._table[self._source(name)][self._start : self._stop]
+
+    def codes_of(self, name: str) -> Optional[DictEncoding]:
+        enc = self._table.codes_of(self._source(name))
+        return _gather(enc, slice(self._start, self._stop))
+
+
+def _gather(enc: Optional[DictEncoding], selector) -> Optional[DictEncoding]:
+    """An encoding narrowed to the rows ``selector`` picks."""
+    return None if enc is None else take_key(enc, selector)
 
 
 # ----------------------------------------------------------------------
@@ -294,6 +325,8 @@ class PreparedAggregate:
 
     key_fns: Tuple[Callable, ...]
     key_aliases: Tuple[str, ...]
+    #: column each key reads bare (its codes stand in for it), else None
+    key_sources: Tuple[Optional[str], ...]
     specs: Tuple[AggregateSpec, ...]
     input_fns: Tuple[Optional[Callable], ...]
     having_fn: Optional[Callable]
@@ -323,6 +356,10 @@ def _broadcast_item(fn: Callable, rel) -> np.ndarray:
     return arr
 
 
+def _bare_column(expr) -> Optional[str]:
+    return expr.name if isinstance(expr, Column) else None
+
+
 def compile_chain(chain: FusedChain) -> PreparedChain:
     """Compile every expression in the chain into closures."""
     steps: List[Tuple[str, Any]] = []
@@ -334,7 +371,7 @@ def compile_chain(chain: FusedChain) -> PreparedChain:
                 (
                     "project",
                     tuple(
-                        (compile_expression(expr), alias)
+                        (compile_expression(expr), alias, _bare_column(expr))
                         for expr, alias in payload
                     ),
                 )
@@ -345,6 +382,7 @@ def compile_chain(chain: FusedChain) -> PreparedChain:
         prepared_agg = PreparedAggregate(
             key_fns=tuple(compile_expression(expr) for expr, _ in agg.keys),
             key_aliases=tuple(alias for _, alias in agg.keys),
+            key_sources=tuple(_bare_column(expr) for expr, _ in agg.keys),
             specs=tuple(agg.aggregates),
             input_fns=tuple(
                 compile_expression(spec.argument)
@@ -377,23 +415,32 @@ def scan_relation(
     ``scan_columns``, alias-qualified when an alias is set, with the
     block-id provenance column appended last for block samples — but each
     column is a thunk: a shared view for full scans, a single lazy gather
-    for samples.
+    for samples. String columns hand out their codes the same way,
+    encoding the catalog table once on first use.
     """
     row_indices = selection.row_indices
     getters: Dict[str, Callable[[], np.ndarray]] = {}
+    encoders: Dict[str, Callable[[], Optional[DictEncoding]]] = {}
 
     def make_getter(name: str) -> Callable[[], np.ndarray]:
         if row_indices is None:
             return lambda: table[name]
         return lambda: table[name][row_indices]
 
+    def make_encoder(name: str) -> Callable[[], Optional[DictEncoding]]:
+        if row_indices is None:
+            return lambda: table.codes_of(name)
+        return lambda: _gather(table.codes_of(name), row_indices)
+
     prefix = f"{alias}." if alias is not None else ""
     for name in scan_columns:
         getters[f"{prefix}{name}"] = make_getter(name)
+        if table[name].dtype == object:
+            encoders[f"{prefix}{name}"] = make_encoder(name)
     if selection.block_id_column is not None:
         ids = selection.block_id_column
         getters[f"{prefix}{BLOCK_ID_COLUMN}"] = lambda: ids
-    return LazyRelation(getters, selection.num_rows)
+    return LazyRelation(getters, selection.num_rows, encoders)
 
 
 def apply_steps(prepared: PreparedChain, rel):
@@ -414,8 +461,16 @@ def apply_steps(prepared: PreparedChain, rel):
             def make_item(fn: Callable, source=parent) -> Callable[[], np.ndarray]:
                 return lambda: _broadcast_item(fn, source)
 
-            getters = {alias: make_item(fn) for fn, alias in payload}
-            rel = LazyRelation(getters, parent.num_rows)
+            def make_encoder(column: str, source=parent):
+                return lambda: source.codes_of(column)
+
+            getters = {alias: make_item(fn) for fn, alias, _ in payload}
+            encoders = {
+                alias: make_encoder(column)
+                for _, alias, column in payload
+                if column is not None
+            }
+            rel = LazyRelation(getters, parent.num_rows, encoders)
     return rel
 
 
@@ -433,6 +488,12 @@ def _aggregate_inputs(
     if input_fn is None:
         return np.ones(rel.num_rows, dtype=np.float64)
     return input_fn(rel)
+
+
+def _group_key(fn: Callable, source: Optional[str], rel):
+    """A group key's codes when it reads a string column bare, else its values."""
+    enc = rel.codes_of(source) if source is not None else None
+    return enc if enc is not None else _broadcast_item(fn, rel)
 
 
 def run_prepared_aggregate(prepared: PreparedChain, rel) -> Table:
@@ -460,8 +521,11 @@ def run_prepared_aggregate(prepared: PreparedChain, rel) -> Table:
             cols[spec.alias] = np.array([])
         result = Table(cols, name="aggregate")
     else:
-        key_arrays = [_broadcast_item(fn, rel) for fn in pa.key_fns]
-        group_ids, key_columns = encode_groups_arrays(key_arrays)
+        keys = [
+            _group_key(fn, source, rel)
+            for fn, source in zip(pa.key_fns, pa.key_sources)
+        ]
+        group_ids, key_columns = encode_groups_arrays(keys)
         num_groups = len(key_columns[0])
         for alias, key_column in zip(pa.key_aliases, key_columns):
             cols[alias] = key_column
@@ -483,10 +547,12 @@ def materialize_relation(rel, name: str, block_size: int) -> Table:
     Called only when a consumer genuinely needs one — the chain sits
     under a join/union/ORDER BY/LIMIT or is the plan top. Column order,
     name and block size match what the materializing operator stack
-    would have produced.
+    would have produced. String columns keep their codes.
     """
-    return Table(
+    table = Table(
         {n: rel[n] for n in rel.column_names},
         name=name,
         block_size=block_size,
     )
+    codes = {n: rel.codes_of(n) for n in rel.column_names}
+    return table.attach_codes({n: c for n, c in codes.items() if c is not None})

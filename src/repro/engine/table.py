@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,10 +40,39 @@ def _as_column_array(values: Iterable) -> np.ndarray:
     if arr.dtype.kind in ("i", "u", "f", "b"):
         return arr
     if arr.dtype.kind == "U" or arr.dtype.kind == "S" or arr.dtype == object:
-        return arr.astype(object)
+        return arr.astype(object, copy=False)
     if arr.dtype.kind == "M":  # datetimes: keep as int64 days for simplicity
         return arr.astype("datetime64[D]").astype(np.int64)
     raise SchemaError(f"unsupported column dtype: {arr.dtype}")
+
+
+class DictEncoding(NamedTuple):
+    """Dictionary encoding of a string (``object``) column.
+
+    ``dictionary`` is sorted and duplicate-free, in ``np.unique`` order;
+    ``codes[i]`` is the position of row ``i``'s value in it, stored in the
+    smallest unsigned dtype that fits (see :func:`code_dtype`).
+    """
+
+    codes: np.ndarray
+    dictionary: np.ndarray
+
+
+def code_dtype(size: int) -> np.dtype:
+    """Smallest unsigned dtype that indexes a dictionary of ``size``
+    (``intp`` past 2**32 entries, which ``bincount`` still accepts)."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if size <= np.iinfo(dtype).max + 1:
+            return np.dtype(dtype)
+    return np.dtype(np.intp)
+
+
+def _encode(key) -> DictEncoding:
+    """Encode a value array (or compact an encoding) via ``factorize``."""
+    from .aggregates import factorize
+
+    uniques, inverse = factorize(key)
+    return DictEncoding(inverse.astype(code_dtype(len(uniques))), uniques)
 
 
 class Table:
@@ -58,9 +87,17 @@ class Table:
     block_size:
         Number of rows per storage block; drives block sampling and the
         cost model's notion of I/O.
+
+    String columns carry a dictionary encoding (:class:`DictEncoding`),
+    computed on first use and memoized like :meth:`fingerprint`. Derived
+    tables (``take``, ``slice_rows``, ``select``, ``rename``,
+    ``concat``, ...) inherit the encodings their source holds by
+    gathering codes, never by re-encoding. An inherited dictionary may
+    cover values no row of the derived table uses; :meth:`encoding`
+    compacts it on request, and ``factorize`` compacts on the fly.
     """
 
-    __slots__ = ("_columns", "name", "block_size", "_fingerprint_cache")
+    __slots__ = ("_columns", "name", "block_size", "_fingerprint_cache", "_codes")
 
     #: Monotonic count of Table constructions in this process. The fused
     #: executor's "zero intermediate Tables" guarantee is asserted against
@@ -90,6 +127,9 @@ class Table:
         self.name = name
         self.block_size = block_size
         self._fingerprint_cache: Optional[str] = None
+        #: column -> (encoding, exact); exact means dictionary == np.unique.
+        #: A None encoding records a string column that cannot be ordered.
+        self._codes: Dict[str, Tuple[Optional[DictEncoding], bool]] = {}
 
     # ------------------------------------------------------------------
     # Basic protocol
@@ -130,6 +170,70 @@ class Table:
     def columns_dict(self) -> Dict[str, np.ndarray]:
         """A shallow copy of the name -> array mapping."""
         return dict(self._columns)
+
+    # ------------------------------------------------------------------
+    # Dictionary encodings
+    # ------------------------------------------------------------------
+    def encoding(self, name: str) -> Optional[DictEncoding]:
+        """The column's dictionary encoding, with ``dictionary`` equal to
+        ``np.unique(self[name])``; ``None`` unless the column holds
+        strings that ``np.unique`` can order."""
+        enc = self.codes_of(name)
+        if enc is not None and not self._codes[name][1]:
+            enc = _encode(enc)
+            self._codes[name] = (enc, True)
+        return enc
+
+    def codes_of(self, name: str) -> Optional[DictEncoding]:
+        """Codes of a string column under a dictionary that covers it.
+
+        Returns the encoding this table holds — inherited, so possibly
+        with unused dictionary entries — or computes and memoizes an
+        exact one. ``None`` for non-string columns and for columns whose
+        values cannot be ordered (callers then factorize the values and
+        meet ``np.unique``'s error themselves). This is the method the
+        fused relations share with Table, so group keys and join keys
+        read codes instead of strings wherever a column has them.
+        """
+        held = self._codes.get(name)
+        if held is not None:
+            return held[0]
+        if self[name].dtype != object:
+            return None
+        try:
+            enc: Optional[DictEncoding] = _encode(self[name])
+        except TypeError:
+            enc = None
+        self._codes[name] = (enc, True)
+        return enc
+
+    def held_codes(self) -> Dict[str, DictEncoding]:
+        """The encodings this table already holds; computes none."""
+        # dict() copies atomically: a concurrent codes_of() on a shared
+        # catalog table may insert while we read.
+        return {
+            name: held[0]
+            for name, held in dict(self._codes).items()
+            if held[0] is not None
+        }
+
+    def attach_codes(self, codes: Mapping[str, DictEncoding]) -> "Table":
+        """Record inherited encodings on a freshly built table.
+
+        For code that built this table's columns by gathering from
+        encoded ones: each entry's dictionary must cover its column and
+        ``dictionary[codes]`` must equal the column. Returns ``self``.
+        """
+        for name, enc in codes.items():
+            if name in self._columns:
+                self._codes[name] = (enc, False)
+        return self
+
+    def _gather_codes(self, selector) -> Dict[str, DictEncoding]:
+        return {
+            name: DictEncoding(enc.codes[selector], enc.dictionary)
+            for name, enc in self.held_codes().items()
+        }
 
     # ------------------------------------------------------------------
     # Derivation
@@ -174,29 +278,42 @@ class Table:
             {k: v[indices] for k, v in self._columns.items()},
             name=name if name is not None else self.name,
             block_size=self.block_size,
-        )
+        ).attach_codes(self._gather_codes(indices))
 
     def select(self, names: Sequence[str], name: Optional[str] = None) -> "Table":
         """Column subset (projection)."""
-        return Table(
+        out = Table(
             {n: self[n] for n in names},
             name=name if name is not None else self.name,
             block_size=self.block_size,
         )
+        held = dict(self._codes)
+        out._codes = {n: held[n] for n in names if n in held}
+        return out
 
     def rename(self, mapping: Mapping[str, str]) -> "Table":
         """Return a table with columns renamed per ``mapping``."""
-        return Table(
+        out = Table(
             {mapping.get(k, k): v for k, v in self._columns.items()},
             name=self.name,
             block_size=self.block_size,
         )
+        out._codes = {mapping.get(k, k): v for k, v in dict(self._codes).items()}
+        return out
+
+    def with_name(self, name: str) -> "Table":
+        """The same columns and encodings under another table name."""
+        out = Table(self._columns, name=name, block_size=self.block_size)
+        out._codes = dict(self._codes)
+        return out
 
     def with_column(self, name: str, values: Iterable) -> "Table":
         """Return a copy with column ``name`` added or replaced."""
         cols = dict(self._columns)
         cols[name] = values
-        return Table(cols, name=self.name, block_size=self.block_size)
+        out = Table(cols, name=self.name, block_size=self.block_size)
+        out._codes = {k: v for k, v in dict(self._codes).items() if k != name}
+        return out
 
     def head(self, n: int) -> "Table":
         return self.take(np.arange(min(n, self.num_rows)))
@@ -206,7 +323,7 @@ class Table:
             {k: v[start:stop] for k, v in self._columns.items()},
             name=self.name,
             block_size=self.block_size,
-        )
+        ).attach_codes(self._gather_codes(slice(start, stop)))
 
     @staticmethod
     def concat(tables: Sequence["Table"], name: str = "") -> "Table":
@@ -220,12 +337,19 @@ class Table:
                     f"UNION ALL schema mismatch: {names} vs {t.column_names}"
                 )
         cols = {}
+        held: Dict[str, Tuple[Optional[DictEncoding], bool]] = {}
         for col in names:
             parts = [t[col] for t in tables]
-            if any(p.dtype == object for p in parts):
+            if all(p.dtype == object for p in parts):
+                merged = _merge_codes(tables, col)
+                if merged is not None:
+                    held[col] = merged
+            elif any(p.dtype == object for p in parts):
                 parts = [p.astype(object) for p in parts]
             cols[col] = np.concatenate(parts)
-        return Table(cols, name=name, block_size=tables[0].block_size)
+        out = Table(cols, name=name, block_size=tables[0].block_size)
+        out._codes = held
+        return out
 
     @staticmethod
     def empty_like(template: "Table") -> "Table":
@@ -355,6 +479,40 @@ class Table:
             f"Table(name={self.name!r}, rows={self.num_rows}, "
             f"cols={self.column_names})"
         )
+
+
+def _merge_codes(
+    tables: Sequence[Table], col: str
+) -> Optional[Tuple[DictEncoding, bool]]:
+    """Concatenated codes of ``col`` under the union of the parts' dictionaries.
+
+    Only when some part already holds an encoding: parts without one
+    (the appended rows of ``Database.append_rows``) are encoded on their
+    own, and every part's codes are remapped through a lookup as long as
+    its dictionary, so the large part is never re-encoded. A column whose
+    values cannot be ordered gets no encoding; whoever groups or joins
+    on it meets ``np.unique``'s error, as before.
+    """
+    if not any(col in t.held_codes() for t in tables):
+        return None
+    from .aggregates import factorize
+
+    encs = [t.codes_of(col) for t in tables]
+    if any(enc is None for enc in encs):
+        return None
+    try:
+        union, inverse = factorize(np.concatenate([e.dictionary for e in encs]))
+    except TypeError:
+        return None
+    dtype = code_dtype(len(union))
+    pieces = []
+    offset = 0
+    for enc in encs:
+        lookup = inverse[offset : offset + len(enc.dictionary)].astype(dtype)
+        offset += len(enc.dictionary)
+        pieces.append(lookup[enc.codes])
+    exact = all(t._codes[col][1] for t in tables)
+    return DictEncoding(np.concatenate(pieces), union), exact
 
 
 class TableAllocationProbe:

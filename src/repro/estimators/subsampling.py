@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..engine.aggregates import factorize
 from .closed_form import Estimate
 
 
@@ -27,8 +28,7 @@ def per_block_totals(
     ``block_ids`` need not be dense; blocks are keyed by distinct id.
     """
     v = np.asarray(values, dtype=np.float64)
-    b = np.asarray(block_ids)
-    uniq, inverse = np.unique(b, return_inverse=True)
+    uniq, inverse = factorize(np.asarray(block_ids))
     sums = np.bincount(inverse, weights=v, minlength=len(uniq))
     counts = np.bincount(inverse, minlength=len(uniq)).astype(np.float64)
     return sums, counts
@@ -112,8 +112,7 @@ def design_effect_from_rows(values: np.ndarray, block_ids: np.ndarray) -> float:
     between-block mean square vs. the within-block mean square.
     """
     v = np.asarray(values, dtype=np.float64)
-    b = np.asarray(block_ids)
-    uniq, inverse = np.unique(b, return_inverse=True)
+    uniq, inverse = factorize(np.asarray(block_ids))
     m = len(uniq)
     n = len(v)
     if m < 2 or n <= m:

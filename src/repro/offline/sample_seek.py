@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.exceptions import SynopsisError
+from ..engine.aggregates import column_key, factorize
 from ..engine.table import Table
 from ..sampling.measure_biased import measure_biased_sample
 from ..storage.cost import index_seek_cost, scan_cost
@@ -45,7 +46,7 @@ class SeekIndex:
 
 def build_seek_index(table: Table, column: str) -> SeekIndex:
     values = table[column]
-    uniq, inverse = np.unique(values, return_inverse=True)
+    uniq, inverse = factorize(column_key(table, column))
     order = np.argsort(inverse, kind="stable")
     sorted_inv = inverse[order]
     boundaries = np.flatnonzero(np.diff(sorted_inv)) + 1
@@ -145,8 +146,7 @@ def answer_group_by_sum(
     sample = synopsis.sample_table
     weights = synopsis.sample_weights
     measure = np.asarray(sample[synopsis.measure_column], dtype=np.float64)
-    groups = sample[synopsis.group_column]
-    uniq, inverse = np.unique(groups, return_inverse=True)
+    uniq, inverse = factorize(column_key(sample, synopsis.group_column))
     support = np.bincount(inverse, minlength=len(uniq))
     estimates = np.bincount(
         inverse, weights=weights * measure, minlength=len(uniq)

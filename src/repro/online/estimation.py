@@ -17,7 +17,7 @@ import numpy as np
 from ..core.errorspec import ErrorSpec, z_value
 from ..core.exceptions import PlanError
 from ..engine import expressions as E
-from ..engine.aggregates import AggregateSpec, encode_groups
+from ..engine.aggregates import AggregateSpec, column_key, encode_groups, factorize
 from ..engine.table import Table
 from ..estimators.closed_form import Estimate
 from ..sql.binder import BoundQuery
@@ -330,7 +330,7 @@ def _order_indices(table: Table, items: List[Tuple[str, bool]]) -> np.ndarray:
     for name, ascending in reversed(items):
         arr = table[name]
         if arr.dtype == object:
-            _, arr = np.unique(arr, return_inverse=True)
+            _, arr = factorize(column_key(table, name))
         arr = np.asarray(arr, dtype=np.float64)
         keys.append(arr if ascending else -arr)
     return np.lexsort(tuple(keys))

@@ -38,7 +38,9 @@ class CacheEntry:
 
     relation: Table
     weights: np.ndarray
-    table_versions: Tuple[Tuple[str, int], ...]
+    #: (name, registered Table) of every input; the catalog builds a new
+    #: Table on each create, replace and append, so identity is version
+    table_versions: Tuple[Tuple[str, Table], ...]
     source_technique: str
     hits: int = 0
 
@@ -104,23 +106,24 @@ class ReuseCache:
         where = repr(bound.where) if bound.where is not None else ""
         return (tables, where)
 
-    def _versions(self, bound: BoundQuery) -> Tuple[Tuple[str, int], ...]:
-        return tuple(
-            sorted((t.name, self.database.table(t.name).num_rows) for t in bound.tables)
-        )
+    def _versions(self, bound: BoundQuery) -> Tuple[Tuple[str, Table], ...]:
+        names = sorted(t.name for t in bound.tables)
+        return tuple((name, self.database.table(name)) for name in names)
 
     def _is_stale(self, entry: CacheEntry) -> bool:
-        for name, rows in entry.table_versions:
-            if not self.database.has_table(name):
-                return True
-            if self.database.table(name).num_rows != rows:
-                return True
-        return False
+        """Stale unless every input is still the very Table it was drawn
+        from: a replace with the same row count is a new version too."""
+        return any(
+            not self.database.has_table(name)
+            or self.database.table(name) is not table
+            for name, table in entry.table_versions
+        )
 
     # ------------------------------------------------------------------
     def _populate_and_answer(
         self, bound: BoundQuery, spec: ErrorSpec, key: Tuple
     ) -> ApproximateResult:
+        versions = self._versions(bound)
         planner = QuickrPlanner(self.database, rate=self.rate, seed=self.seed)
         target = planner._choose_table(bound)
         sampler_kind, sample = planner._draw_sample(bound, target)
@@ -144,7 +147,7 @@ class ReuseCache:
         entry = CacheEntry(
             relation=relation,
             weights=weights,
-            table_versions=self._versions(bound),
+            table_versions=versions,
             source_technique=f"quickr:{sampler_kind}",
         )
         if len(self._entries) >= self.max_entries:

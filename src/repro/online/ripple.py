@@ -23,6 +23,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..core.errorspec import z_value
+from ..engine.aggregates import factorize
 from ..engine.table import Table
 
 
@@ -155,7 +156,7 @@ class RippleJoin:
         rvals = self._rvals[self._kr : self._kr + mr]
 
         keys = np.concatenate([lkeys, rkeys])
-        uniq, codes = np.unique(keys, return_inverse=True)
+        uniq, codes = factorize(keys)
         vals = np.concatenate([lvals, rvals])
         times = np.concatenate(
             [2 * np.arange(ml, dtype=np.int64), 2 * np.arange(mr, dtype=np.int64) + 1]

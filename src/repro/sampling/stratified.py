@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.exceptions import SynopsisError
+from ..engine.aggregates import column_key, encode_groups, factorize
 from ..engine.table import Table
 from ..estimators.closed_form import Estimate
 from .base import WeightedSample
@@ -111,12 +112,11 @@ def stratified_sample(
     if rng is None:
         rng = np.random.default_rng()
     if isinstance(strata_column, str):
-        keys = table[strata_column]
-        uniq, inverse = np.unique(keys, return_inverse=True)
+        uniq, inverse = factorize(column_key(table, strata_column))
     else:
-        from ..engine.aggregates import encode_groups
-
-        inverse, key_tuples = encode_groups([table[c] for c in strata_column])
+        inverse, key_tuples = encode_groups(
+            [column_key(table, c) for c in strata_column]
+        )
         uniq = np.empty(len(key_tuples), dtype=object)
         uniq[:] = key_tuples
     counts = np.bincount(inverse, minlength=len(uniq))

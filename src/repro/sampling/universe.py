@@ -20,6 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..engine.aggregates import factorize
 from ..engine.table import Table
 from ..estimators.closed_form import Estimate
 from ..sketches.hashing import hash_unit_interval
@@ -78,7 +79,7 @@ def estimate_join_sum(
     y = np.asarray(joined_values, dtype=np.float64)
     if len(y) == 0:
         return Estimate(0.0, math.inf, 0, estimator="universe_join_sum")
-    uniq, inverse = np.unique(joined_keys, return_inverse=True)
+    uniq, inverse = factorize(joined_keys)
     per_key = np.bincount(inverse, weights=y, minlength=len(uniq))
     k = len(per_key)
     total = float(np.sum(per_key)) / rate

@@ -64,7 +64,12 @@ from ..core.exceptions import (
     UnsupportedQueryError,
 )
 from ..core.result import ApproximateResult, QueryResult
-from ..engine.aggregates import AggregateSpec
+from ..engine.aggregates import (
+    AggregateSpec,
+    column_key,
+    encode_groups_arrays,
+    take_key,
+)
 from ..engine.executor import ExecutionStats
 from ..engine.expressions import Column, compile_expression
 from ..engine.fused import SliceRelation
@@ -118,6 +123,8 @@ class _BoundKernels:
 
     where_fn: Optional[Callable]
     key_fns: Tuple[Callable, ...]
+    #: column each group key reads bare (its codes stand in), else None
+    key_sources: Tuple[Optional[str], ...]
     #: aggregate alias -> compiled argument (None for COUNT(*)-style)
     input_fns: Dict[str, Optional[Callable]]
 
@@ -193,10 +200,6 @@ class _Widen:
 
 def _fmt_error(exc: Optional[BaseException]) -> str:
     return f"{type(exc).__name__}: {exc}" if exc else ""
-
-
-def _py(value):
-    return value.item() if hasattr(value, "item") else value
 
 
 class ScatterGatherExecutor:
@@ -368,6 +371,10 @@ class ScatterGatherExecutor:
                 ),
                 key_fns=tuple(
                     compile_expression(expr)
+                    for expr, _alias in bound.group_keys
+                ),
+                key_sources=tuple(
+                    expr.name if isinstance(expr, Column) else None
                     for expr, _alias in bound.group_keys
                 ),
                 input_fns={
@@ -757,7 +764,8 @@ class ScatterGatherExecutor:
         partial.rows_scanned += qtable.num_rows
         partial.matched_rows += matched
         if bound.group_keys:
-            self._accumulate_groups(partial, bound, kernels, qtable, mask)
+            if matched:
+                self._accumulate_groups(partial, bound, kernels, qtable, mask)
             return
         for agg in bound.aggregates:
             ap = partial.scalars.setdefault(agg.alias, AggPartial())
@@ -780,22 +788,14 @@ class ScatterGatherExecutor:
         mask: Optional[np.ndarray],
     ) -> None:
         key_arrays = []
-        for key_fn in kernels.key_fns:
-            arr = np.asarray(key_fn(qtable))
-            key_arrays.append(arr[mask] if mask is not None else arr)
-        n = len(key_arrays[0]) if key_arrays else 0
-        if n == 0:
-            return
-        codes = np.zeros(n, dtype=np.int64)
-        for arr in key_arrays:
-            uniq, inv = np.unique(arr, return_inverse=True)
-            codes = codes * np.int64(len(uniq) + 1) + inv
-        _, first_idx, inv = np.unique(
-            codes, return_index=True, return_inverse=True
-        )
-        keys = [
-            tuple(_py(arr[i]) for arr in key_arrays) for i in first_idx
-        ]
+        for key_fn, source in zip(kernels.key_fns, kernels.key_sources):
+            if source is not None:
+                key = column_key(qtable, source)
+            else:
+                key = np.asarray(key_fn(qtable))
+            key_arrays.append(take_key(key, mask) if mask is not None else key)
+        inv, key_columns = encode_groups_arrays(key_arrays)
+        keys = list(zip(*(column.tolist() for column in key_columns)))
         counts = np.bincount(inv, minlength=len(keys)).astype(np.float64)
         for agg in bound.aggregates:
             if agg.func == "count":

@@ -409,30 +409,61 @@ def parse_sql(text: str) -> SelectStatement:
     return Parser(text).parse_select()
 
 
+def _skip_blank(text: str, i: int) -> int:
+    """Index of the next token start at or after ``i`` (whitespace and
+    ``--`` line comments skipped, exactly as the lexer skips them)."""
+    n = len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+        elif text.startswith("--", i):
+            while i < n and text[i] != "\n":
+                i += 1
+        else:
+            break
+    return i
+
+
+def _leading_ident(text: str, i: int) -> Optional[Tuple[str, int]]:
+    """The identifier token starting at ``i`` as ``(value, end)``, or
+    ``None`` when the token there is not one (or fails to lex)."""
+    n = len(text)
+    if i < n and (text[i].isalpha() or text[i] == "_"):
+        j = i
+        while j < n and (text[j].isalnum() or text[j] == "_"):
+            j += 1
+        return text[i:j], j
+    if i < n and text[i] == '"':
+        j = text.find('"', i + 1)
+        if j >= 0:
+            return text[i + 1 : j], j + 1
+    return None
+
+
 def split_explain(text: str) -> Tuple[Optional[str], str]:
     """Peel an ``EXPLAIN [ANALYZE]`` prefix off a SQL string.
 
     Returns ``(mode, inner_sql)`` where ``mode`` is ``None`` (no
     prefix), ``"explain"`` or ``"analyze"``. EXPLAIN/ANALYZE are not
-    lexer keywords — they arrive as IDENT tokens — so the prefix is
-    matched case-insensitively on token values and the inner statement
-    is sliced out of the original text by source offset, preserving it
-    byte-for-byte for the downstream parser.
+    lexer keywords — they lex as identifiers — so only the leading
+    word(s) are peeked at, case-insensitively, with the lexer's rules
+    for blanks, comments and quoted identifiers; the statement itself is
+    lexed once, by the parser. The inner statement is sliced out of the
+    original text at its first token, byte-for-byte.
     """
-    tokens = tokenize(text)
-    if not tokens or tokens[0].kind != "IDENT":
+    start = _skip_blank(text, 0)
+    first = _leading_ident(text, start)
+    if first is None or first[0].upper() != "EXPLAIN":
         return None, text
-    if tokens[0].value.upper() != "EXPLAIN":
-        return None, text
-    if len(tokens) < 2 or tokens[1].kind == "EOF":
-        raise SQLSyntaxError("EXPLAIN requires a statement", tokens[0].position)
+    rest = _skip_blank(text, first[1])
+    if rest == len(text):
+        raise SQLSyntaxError("EXPLAIN requires a statement", start)
     mode = "explain"
-    rest = tokens[1]
-    if rest.kind == "IDENT" and rest.value.upper() == "ANALYZE":
+    second = _leading_ident(text, rest)
+    if second is not None and second[0].upper() == "ANALYZE":
         mode = "analyze"
-        if len(tokens) < 3 or tokens[2].kind == "EOF":
-            raise SQLSyntaxError(
-                "EXPLAIN ANALYZE requires a statement", rest.position
-            )
-        rest = tokens[2]
-    return mode, text[rest.position:]
+        after = _skip_blank(text, second[1])
+        if after == len(text):
+            raise SQLSyntaxError("EXPLAIN ANALYZE requires a statement", rest)
+        rest = after
+    return mode, text[rest:]

@@ -16,7 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine.table import Table
+from ..engine.aggregates import value_counts
+from ..engine.table import DictEncoding, Table
 
 
 @dataclass
@@ -59,11 +60,19 @@ class ColumnStats:
 
 
 def compute_column_stats(
-    name: str, values: np.ndarray, histogram_buckets: int = 32, mcv: int = 8
+    name: str,
+    values: np.ndarray,
+    histogram_buckets: int = 32,
+    mcv: int = 8,
+    codes: Optional[DictEncoding] = None,
 ) -> ColumnStats:
-    """Compute :class:`ColumnStats` by scanning a column once."""
+    """Compute :class:`ColumnStats` by scanning a column once.
+
+    ``codes``, a string column's dictionary encoding, turns the distinct
+    count into a bincount over the codes.
+    """
     n = len(values)
-    uniques, counts = np.unique(values, return_counts=True)
+    uniques, counts = value_counts(codes if codes is not None else values)
     order = np.argsort(counts)[::-1][:mcv]
     mcv_values = [uniques[i] for i in order]
     mcv_counts = [int(counts[i]) for i in order]
@@ -112,7 +121,10 @@ def compute_table_stats(
     )
     for col_name in table.column_names:
         stats.columns[col_name] = compute_column_stats(
-            col_name, table[col_name], histogram_buckets=histogram_buckets
+            col_name,
+            table[col_name],
+            histogram_buckets=histogram_buckets,
+            codes=table.codes_of(col_name),
         )
     return stats
 

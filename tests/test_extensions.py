@@ -159,6 +159,19 @@ class TestReuseCache:
         assert res.technique == "quickr"  # repopulated, not reused
         assert cache.stats.invalidations == 1
 
+    def test_invalidated_on_same_size_replace(self, db):
+        cache = ReuseCache(db, seed=5)
+        spec = ErrorSpec(0.1, 0.9)
+        sql = "SELECT SUM(v) AS s FROM t WHERE sel < 0.5"
+        cache.sql(sql, spec)
+        t = db.table("t")
+        db.replace_table("t", t.with_column("v", t["v"] * 100.0))
+        res = cache.sql(sql, spec)
+        assert res.technique == "quickr"  # same row count, new content
+        assert cache.stats.invalidations == 1
+        truth = float(db.table("t")["v"][db.table("t")["sel"] < 0.5].sum())
+        assert res.table["s"][0] == pytest.approx(truth, rel=0.1)
+
     def test_eviction_respects_capacity(self, db):
         cache = ReuseCache(db, max_entries=2, seed=5)
         spec = ErrorSpec(0.2, 0.9)

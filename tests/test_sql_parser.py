@@ -4,7 +4,8 @@ import pytest
 
 from repro import SQLSyntaxError
 from repro.sql import ast as A
-from repro.sql.parser import parse_sql
+from repro.sql.lexer import tokenize
+from repro.sql.parser import parse_sql, split_explain
 
 
 class TestSelectStructure:
@@ -205,3 +206,69 @@ class TestErrorReporting:
             parse_sql("SELECT a FROM t WHERE")
         except SQLSyntaxError as e:
             assert e.position >= 0
+
+
+def _split_by_tokens(text):
+    """Reference: decide the EXPLAIN prefix from the full token list."""
+    tokens = tokenize(text)
+    if tokens[0].kind != "IDENT" or tokens[0].value.upper() != "EXPLAIN":
+        return None, text
+    if tokens[1].kind == "EOF":
+        raise SQLSyntaxError("EXPLAIN requires a statement", tokens[0].position)
+    mode, rest = "explain", tokens[1]
+    if rest.kind == "IDENT" and rest.value.upper() == "ANALYZE":
+        mode = "analyze"
+        if tokens[2].kind == "EOF":
+            raise SQLSyntaxError("EXPLAIN ANALYZE requires a statement", rest.position)
+        rest = tokens[2]
+    return mode, text[rest.position:]
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except SQLSyntaxError as exc:
+        return ("error", str(exc), exc.position)
+
+
+class TestSplitExplain:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT a FROM t",
+            "EXPLAIN SELECT a FROM t",
+            "explain select a from t",
+            "Explain Analyze SELECT a FROM t",
+            "  \n\tEXPLAIN   SELECT a FROM t",
+            "-- a comment\nEXPLAIN -- another\n ANALYZE\n-- third\nSELECT a FROM t",
+            "EXPLAIN\n\nSELECT a FROM t -- trailing",
+            '"explain" SELECT a FROM t',
+            'EXPLAIN "analyze" SELECT a FROM t',
+            "EXPLAIN (SELECT a FROM t)",
+            "EXPLAINED SELECT a FROM t",
+            "EXPLAIN_ SELECT a FROM t",
+            "EXPLAIN ANALYZED SELECT a FROM t",
+            "EXPLAIN",
+            "  explain  ",
+            "EXPLAIN -- nothing follows",
+            "EXPLAIN ANALYZE",
+            "explain analyze -- nothing\n   ",
+            "",
+            "   ",
+            "analyze SELECT a FROM t",
+        ],
+    )
+    def test_matches_token_reference(self, text):
+        assert _outcome(split_explain, text) == _outcome(_split_by_tokens, text)
+
+    def test_bare_explain_positions(self):
+        with pytest.raises(SQLSyntaxError) as info:
+            split_explain("  EXPLAIN  ")
+        assert info.value.position == 2
+        with pytest.raises(SQLSyntaxError) as info:
+            split_explain("explain  analyze ")
+        assert info.value.position == 9
+
+    def test_inner_slice_is_verbatim(self):
+        text = "-- c\n explain\tANALYZE  SELECT  a\n FROM t -- x"
+        assert split_explain(text) == ("analyze", "SELECT  a\n FROM t -- x")

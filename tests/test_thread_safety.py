@@ -181,3 +181,39 @@ def test_database_catalog_safe_under_concurrent_stats_and_append():
     for t in range(4):
         # Stats recompute on demand and describe the final content.
         assert db.stats(f"t{t}").num_rows == db.table(f"t{t}").num_rows
+
+
+def test_shared_table_encodings_under_concurrent_derivation():
+    """Lazy dictionary encodings are memoized on shared catalog Tables:
+    threads encoding columns while others derive tables from the same
+    Table must neither crash nor see a wrong encoding."""
+    import sys
+
+    from repro.engine.table import Table
+
+    rng = np.random.default_rng(0)
+    words = np.array(["a", "b", "c", "d", "e"], dtype=object)
+    columns = {f"s{k}": rng.choice(words, 2_000) for k in range(24)}
+    table = Table(columns)
+    want = {
+        name: np.unique(values, return_inverse=True)
+        for name, values in columns.items()
+    }
+    mask = rng.random(2_000) < 0.5
+
+    def worker(i: int) -> None:
+        for k in range(24):
+            name = f"s{(i + k) % 24}"
+            enc = table.encoding(name)
+            assert enc.dictionary.tolist() == want[name][0].tolist()
+            assert np.array_equal(enc.codes, want[name][1])
+            derived = table.take(mask).rename({name: "x"}).select(["x"])
+            got = derived.encoding("x")
+            assert np.array_equal(got.dictionary[got.codes], columns[name][mask])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _hammer(worker)
+    finally:
+        sys.setswitchinterval(old)
